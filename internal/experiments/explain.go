@@ -115,8 +115,9 @@ func Explain(w io.Writer, s Scale, design string, va uint64) error {
 	}
 	fmt.Fprintf(w, "result:   PA %v, %s page, served by %s, %d cycles\n",
 		res.PA, res.Size, served, res.Cycles)
-	if err := m.AuditLedger(); err != nil {
-		return fmt.Errorf("explain: conservation audit failed: %w", err)
+	if attributed != res.Cycles {
+		return fmt.Errorf("explain: conservation audit failed: the trail sums to %d cycles but the translation charged %d",
+			attributed, res.Cycles)
 	}
 	fmt.Fprintf(w, "audit:    %d/%d cycles attributed, books balance\n", attributed, res.Cycles)
 	return nil

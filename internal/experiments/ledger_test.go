@@ -30,11 +30,10 @@ func runCSVScaled(t *testing.T, name string, mutate func(*Scale)) string {
 }
 
 // TestLedgerObserverTableInvariance is the end-to-end half of the
-// observer contract: running experiments with the audit ledger and tail
-// recorder armed must produce byte-identical tables to running without —
-// while the audit itself (which fails cells on any conservation leak)
-// passes over every design the experiments drive, victim levels
-// included.
+// observer contract: running experiments with the tail recorder (and so
+// a ledger on every MMU) armed must produce byte-identical tables to
+// running without, over every design the experiments drive, victim
+// levels included.
 func TestLedgerObserverTableInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run experiment comparison is not short")
@@ -45,7 +44,6 @@ func TestLedgerObserverTableInvariance(t *testing.T) {
 			t.Parallel()
 			off := runCSVScaled(t, name, nil)
 			on := runCSVScaled(t, name, func(s *Scale) {
-				s.LedgerAudit = true
 				s.TailK = 8
 			})
 			if on != off {
@@ -57,7 +55,7 @@ func TestLedgerObserverTableInvariance(t *testing.T) {
 
 // TestBreakdownSharesSumTo100 sanity-checks the stacked table: each
 // row's share columns must sum to ~100% (they are percentages of the
-// same attributed total, which the in-cell audit pins to Stats.Cycles).
+// same cycle books, whose total is Stats.Cycles).
 func TestBreakdownSharesSumTo100(t *testing.T) {
 	csv := runCSVScaled(t, "breakdown", func(s *Scale) {
 		s.Workloads = []string{"gups"}

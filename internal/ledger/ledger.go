@@ -1,14 +1,13 @@
-// Package ledger attributes every simulated translation cycle to exactly
-// one cost category, turning the MMU's aggregate cycle counter into an
-// explainable breakdown: probe cycles per hierarchy level, victim-level
-// cache probes, walk cycles (split by whether paging-structure caches
-// shortened the walk), dirty-bit assists, memo replays, chaos-retry
-// re-translations, and shootdown events.
+// Package ledger names the cost categories every simulated translation
+// cycle is booked under, and records — when a caller opts in — each
+// translation's charge trail plus a top-K flight recorder of the slowest
+// translations.
 //
-// The ledger is a passive observer with an exactness contract: Audit
-// fails unless the per-category cycle sums equal the MMU's total cycle
-// count, so any charging site added without attribution — or attributed
-// twice — is a test failure, not silent drift. It is schedule-
+// The books themselves live in mmu.Stats.Books: the MMU charges every
+// cycle through a single helper that adds it to exactly one category, so
+// the per-category sums equal the total by construction. A Ledger is the
+// optional observer of those charges: it sees each one as a trail step,
+// never influences it, and keeps no books of its own. It is schedule-
 // deterministic (state is per-MMU, mutated only on that MMU's own
 // translation path) and allocation-free on the hot path: all per-access
 // state lives in fixed arrays sized at construction.
@@ -66,10 +65,6 @@ const (
 	// the retry's probe and walk cycles are the cost of the fault, not of
 	// the design's steady state.
 	ChaosRetry
-	// Shootdown counts TLB invalidations and flushes (zero exposed
-	// cycles in the model; the refill cost they induce lands in the
-	// probe/walk categories of later accesses).
-	Shootdown
 
 	// NumCategories sizes per-category arrays.
 	NumCategories
@@ -78,7 +73,7 @@ const (
 var categoryNames = [NumCategories]string{
 	"l1-probe", "l2-probe", "deep-probe", "extra-probe", "victim-probe",
 	"walk-full", "walk-pwc", "walk-contig", "dirty-assist", "memo-replay",
-	"chaos-retry", "shootdown",
+	"chaos-retry",
 }
 
 // String names the category as used in tables and narrations.
@@ -89,19 +84,16 @@ func (c Category) String() string {
 	return fmt.Sprintf("category(%d)", uint8(c))
 }
 
-// Categories lists every category in declaration order.
-func Categories() [NumCategories]Category {
-	var out [NumCategories]Category
-	for i := range out {
-		out[i] = Category(i)
+// ProbeCategory is the category of an SRAM probe at hierarchy level li
+// (0-indexed).
+func ProbeCategory(li int) Category {
+	switch li {
+	case 0:
+		return L1Probe
+	case 1:
+		return L2Probe
 	}
-	return out
-}
-
-// Entry is one category's accumulated books.
-type Entry struct {
-	Cycles uint64 // attributed cycles
-	Events uint64 // charge sites hit (walks, probes, shootdowns, ...)
+	return DeepProbe
 }
 
 // MaxTrail bounds the per-translation step trail. A worst-case access is
@@ -120,21 +112,24 @@ type Step struct {
 	Events uint32
 }
 
-// Ledger attributes one MMU's cycles. Not safe for concurrent use — like
-// the MMU it observes, it belongs to a single simulation goroutine.
+// Access describes one translation as its trail closes: where the
+// request landed, how many PTE references its walks issued, and how many
+// oracle retries it took.
+type Access struct {
+	VA       uint64
+	Size     addr.PageSize
+	HitLevel int8 // -1 = walked or faulted
+	Faulted  bool
+	WalkRefs uint16
+	Retries  uint8
+}
+
+// Ledger records one MMU's charge trails. Not safe for concurrent use —
+// like the MMU it observes, it belongs to a single simulation goroutine.
 type Ledger struct {
-	entries [NumCategories]Entry
-
-	// retry redirects charges to ChaosRetry while an oracle-triggered
-	// re-translation is in flight.
-	retry bool
-
 	// Per-access scratch, reset by Begin and harvested by End.
-	inAccess bool
 	seq      uint64 // completed accesses (deterministic tie-break id)
 	cycles   uint64 // cycles charged to the in-flight access
-	walkRefs uint16 // PTE references the in-flight access issued
-	retries  uint8  // oracle retries of the in-flight access
 	trail    [MaxTrail]Step
 	trailLen int
 
@@ -151,8 +146,8 @@ func New(tailK int) *Ledger {
 	return l
 }
 
-// Reset zeroes the books (and the tail recorder), separating warm-up
-// from measurement exactly as MMU.ResetStats does.
+// Reset restarts the access count and empties the tail recorder,
+// separating warm-up from measurement exactly as MMU.ResetStats does.
 func (l *Ledger) Reset() {
 	tail := l.tail
 	*l = Ledger{tail: tail}
@@ -161,55 +156,20 @@ func (l *Ledger) Reset() {
 	}
 }
 
-// SetRetry marks (or unmarks) an oracle-triggered re-translation: while
-// set, every charge is redirected to ChaosRetry.
-func (l *Ledger) SetRetry(on bool) {
-	if on && l.inAccess {
-		l.retries++
-	}
-	l.retry = on
-}
-
-// Begin opens one translation's books. The MMU calls it once per access
+// Begin opens one translation's trail. The MMU calls it once per access
 // (memoized replays included) before any charge.
 func (l *Ledger) Begin() {
-	l.inAccess = true
 	l.cycles = 0
-	l.walkRefs = 0
-	l.retries = 0
 	l.trailLen = 0
 }
 
-// End closes the in-flight translation, feeding the tail recorder when
-// one is armed. hitLevel mirrors mmu.Result.HitLevel (-1 = walked or
-// faulted); faulted marks accesses the fault handler refused.
-func (l *Ledger) End(va uint64, size addr.PageSize, hitLevel int8, faulted bool) {
-	if !l.inAccess {
-		return
-	}
-	l.inAccess = false
-	seq := l.seq
-	l.seq++
-	if l.tail != nil {
-		l.tail.offer(l, va, size, hitLevel, faulted, seq)
-	}
-}
-
-// charge is the single attribution point: category redirect, books,
-// per-access scratch, trail.
-func (l *Ledger) charge(c Category, level int8, cycles uint64) {
-	if l.retry {
-		c = ChaosRetry
-		level = -1
-	}
-	l.entries[c].Cycles += cycles
-	l.entries[c].Events++
-	if !l.inAccess {
-		return
-	}
+// Step appends one charge to the in-flight translation's trail. The MMU
+// has already booked it; level is the probed hierarchy level, or -1 when
+// the charge is not a probe.
+func (l *Ledger) Step(c Category, level int8, cycles uint64) {
 	l.cycles += cycles
-	// Merge consecutive same-category steps (per-PTE walk charges, probe
-	// rounds) so trails stay short and bounded.
+	// Merge consecutive same-category steps (probe rounds, per-probe
+	// victim charges) so trails stay short and bounded.
 	if n := l.trailLen; n > 0 && l.trail[n-1].Cat == c && l.trail[n-1].Level == level {
 		l.trail[n-1].Cycles += cycles
 		l.trail[n-1].Events++
@@ -224,90 +184,22 @@ func (l *Ledger) charge(c Category, level int8, cycles uint64) {
 	l.trailLen++
 }
 
-// Charge attributes cycles to a category (non-probe sites).
-func (l *Ledger) Charge(c Category, cycles uint64) { l.charge(c, -1, cycles) }
-
-// ChargeProbe attributes one SRAM probe at hierarchy level li
-// (0-indexed) to the level's probe category.
-func (l *Ledger) ChargeProbe(li int, cycles uint64) {
-	c := DeepProbe
-	switch li {
-	case 0:
-		c = L1Probe
-	case 1:
-		c = L2Probe
-	}
-	l.charge(c, int8(li), cycles)
-}
-
-// ChargeWalk attributes one page-table walk's issued PTE reference time:
-// cat is WalkFull or WalkPWC, refs the references actually charged.
-func (l *Ledger) ChargeWalk(cat Category, cycles uint64, refs int) {
-	l.charge(cat, -1, cycles)
-	if l.inAccess && refs > 0 {
-		r := l.walkRefs + uint16(refs)
-		if r < l.walkRefs { // saturate rather than wrap
-			r = ^uint16(0)
-		}
-		l.walkRefs = r
+// End closes the in-flight translation, feeding the tail recorder when
+// one is armed.
+func (l *Ledger) End(a Access) {
+	seq := l.seq
+	l.seq++
+	if l.tail != nil {
+		l.tail.offer(l, a, seq)
 	}
 }
 
-// Event counts a zero-cycle occurrence (shootdowns).
-func (l *Ledger) Event(c Category) { l.charge(c, -1, 0) }
-
-// Entries returns a snapshot of the per-category books.
-func (l *Ledger) Entries() [NumCategories]Entry { return l.entries }
-
-// Total sums attributed cycles across all categories.
-func (l *Ledger) Total() uint64 {
-	var t uint64
-	for i := range l.entries {
-		t += l.entries[i].Cycles
-	}
-	return t
-}
-
-// Accesses returns how many translations have closed their books.
+// Accesses returns how many translations have closed their trails.
 func (l *Ledger) Accesses() uint64 { return l.seq }
 
 // Trail returns the last completed translation's step trail. The slice
 // aliases the ledger's scratch and is valid until the next translation.
 func (l *Ledger) Trail() []Step { return l.trail[:l.trailLen] }
-
-// ConservationError reports attributed cycles diverging from the MMU's
-// total — a charging site missing attribution (leak > 0 means the MMU
-// charged cycles the ledger never saw) or double-attributed (leak < 0).
-type ConservationError struct {
-	Attributed uint64
-	Total      uint64
-	Entries    [NumCategories]Entry
-}
-
-func (e *ConservationError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ledger: attributed %d cycles but the MMU charged %d (leak %d):",
-		e.Attributed, e.Total, int64(e.Total)-int64(e.Attributed))
-	for c, en := range e.Entries {
-		if en.Cycles != 0 || en.Events != 0 {
-			fmt.Fprintf(&b, " %s=%d/%dev", Category(c), en.Cycles, en.Events)
-		}
-	}
-	return b.String()
-}
-
-// Audit asserts exact conservation: the per-category sums equal total
-// (the MMU's Stats.Cycles over the same interval). Nil-safe: an absent
-// ledger audits clean.
-func (l *Ledger) Audit(total uint64) error {
-	if l == nil {
-		return nil
-	}
-	if att := l.Total(); att != total {
-		return &ConservationError{Attributed: att, Total: total, Entries: l.entries}
-	}
-	return nil
-}
 
 // TrailString renders a step trail compactly: "L1:1 L2:7 walk-full:40x4"
 // (cycles, and xN when a step merged N charges).

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -11,7 +10,7 @@ import (
 
 func TestCategoryNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, c := range Categories() {
+	for c := Category(0); c < NumCategories; c++ {
 		name := c.String()
 		if name == "" || strings.HasPrefix(name, "category(") {
 			t.Fatalf("category %d has no name", c)
@@ -26,73 +25,55 @@ func TestCategoryNames(t *testing.T) {
 	}
 }
 
-func TestAuditConservation(t *testing.T) {
-	l := New(0)
+// TestTrailConservation: a closed trail accounts for every cycle charged
+// to its access, and the tail record it feeds carries the same total.
+func TestTrailConservation(t *testing.T) {
+	l := New(1)
 	l.Begin()
-	l.ChargeProbe(0, 1)
-	l.ChargeProbe(1, 7)
-	l.ChargeWalk(WalkFull, 40, 4)
-	l.End(0x1000, addr.Page4K, -1, false)
+	l.Step(L1Probe, 0, 1)
+	l.Step(L2Probe, 1, 7)
+	l.Step(WalkFull, -1, 40)
+	l.End(Access{VA: 0x1000, Size: addr.Page4K, HitLevel: -1, WalkRefs: 4})
 
-	if err := l.Audit(48); err != nil {
-		t.Fatalf("balanced audit failed: %v", err)
+	var sum uint64
+	for _, s := range l.Trail() {
+		sum += s.Cycles
 	}
-	err := l.Audit(50)
-	if err == nil {
-		t.Fatal("audit accepted a 2-cycle leak")
+	if sum != 48 {
+		t.Fatalf("trail sums to %d cycles, want 48", sum)
 	}
-	var ce *ConservationError
-	if !errors.As(err, &ce) {
-		t.Fatalf("audit error type = %T", err)
+	top := l.Top()
+	if len(top) != 1 || top[0].Cycles != 48 || top[0].WalkRefs != 4 || top[0].VA != 0x1000 {
+		t.Fatalf("tail record = %+v", top)
 	}
-	if ce.Attributed != 48 || ce.Total != 50 {
-		t.Fatalf("ConservationError = %+v", ce)
-	}
-	if msg := err.Error(); !strings.Contains(msg, "leak 2") || !strings.Contains(msg, "walk-full=40") {
-		t.Fatalf("error message lacks leak/category detail: %s", msg)
+	if got := TrailString(top[0].Trail()); got != "L1:1 L2:7 walk-full:40" {
+		t.Fatalf("recorded trail = %q", got)
 	}
 }
 
-func TestNilLedgerAuditsClean(t *testing.T) {
+func TestNilLedgerHasNoTail(t *testing.T) {
 	var l *Ledger
-	if err := l.Audit(123); err != nil {
-		t.Fatalf("nil ledger audit: %v", err)
-	}
 	if l.Top() != nil {
 		t.Fatal("nil ledger returned tail records")
 	}
 }
 
-func TestRetryRedirect(t *testing.T) {
-	l := New(0)
-	l.Begin()
-	l.ChargeProbe(0, 1)
-	l.SetRetry(true)
-	l.ChargeProbe(0, 1)
-	l.ChargeWalk(WalkPWC, 30, 2)
-	l.SetRetry(false)
-	l.End(0, addr.Page4K, 0, false)
-
-	e := l.Entries()
-	if e[L1Probe].Cycles != 1 || e[ChaosRetry].Cycles != 31 {
-		t.Fatalf("redirect books: l1=%+v retry=%+v", e[L1Probe], e[ChaosRetry])
-	}
-	if e[WalkPWC].Cycles != 0 {
-		t.Fatalf("retry walk leaked into walk-pwc: %+v", e[WalkPWC])
-	}
-	if err := l.Audit(32); err != nil {
-		t.Fatalf("audit: %v", err)
+func TestProbeCategory(t *testing.T) {
+	for li, want := range []Category{L1Probe, L2Probe, DeepProbe, DeepProbe} {
+		if got := ProbeCategory(li); got != want {
+			t.Errorf("ProbeCategory(%d) = %s, want %s", li, got, want)
+		}
 	}
 }
 
 func TestResetClearsBooksAndTail(t *testing.T) {
 	l := New(4)
 	l.Begin()
-	l.Charge(MemoReplay, 5)
-	l.End(0x42, addr.Page2M, 0, false)
+	l.Step(MemoReplay, -1, 5)
+	l.End(Access{VA: 0x42, Size: addr.Page2M})
 	l.Reset()
-	if l.Total() != 0 || l.Accesses() != 0 {
-		t.Fatalf("reset left books: total=%d acc=%d", l.Total(), l.Accesses())
+	if l.Accesses() != 0 {
+		t.Fatalf("reset left %d accesses", l.Accesses())
 	}
 	if got := l.Top(); got != nil {
 		t.Fatalf("reset left %d tail records", len(got))
@@ -102,11 +83,11 @@ func TestResetClearsBooksAndTail(t *testing.T) {
 func TestTrailMergesConsecutiveCharges(t *testing.T) {
 	l := New(0)
 	l.Begin()
-	l.ChargeProbe(0, 1)
-	l.Charge(VictimProbe, 10)
-	l.Charge(VictimProbe, 12)
-	l.ChargeWalk(WalkFull, 40, 4)
-	l.End(0, addr.Page4K, -1, false)
+	l.Step(L1Probe, 0, 1)
+	l.Step(VictimProbe, -1, 10)
+	l.Step(VictimProbe, -1, 12)
+	l.Step(WalkFull, -1, 40)
+	l.End(Access{Size: addr.Page4K, HitLevel: -1})
 
 	steps := l.Trail()
 	if len(steps) != 3 {
@@ -127,17 +108,21 @@ func TestTrailOverflowStaysBounded(t *testing.T) {
 	for i := 0; i < 3*MaxTrail; i++ {
 		// Alternate categories so no merge hides the overflow.
 		if i%2 == 0 {
-			l.Charge(WalkFull, 1)
+			l.Step(WalkFull, -1, 1)
 		} else {
-			l.Charge(DirtyAssist, 1)
+			l.Step(DirtyAssist, -1, 1)
 		}
 	}
-	l.End(0, addr.Page4K, -1, false)
+	l.End(Access{Size: addr.Page4K, HitLevel: -1})
 	if len(l.Trail()) != MaxTrail {
 		t.Fatalf("trail length = %d, want %d", len(l.Trail()), MaxTrail)
 	}
-	if err := l.Audit(3 * MaxTrail); err != nil {
-		t.Fatalf("overflowed trail broke conservation: %v", err)
+	var sum uint64
+	for _, s := range l.Trail() {
+		sum += s.Cycles
+	}
+	if sum != 3*MaxTrail {
+		t.Fatalf("overflowed trail sums to %d cycles, want %d", sum, 3*MaxTrail)
 	}
 }
 
@@ -147,8 +132,8 @@ func TestTailKeepsKSlowest(t *testing.T) {
 	cycles := []uint64{5, 90, 10, 70, 70, 3, 100, 10}
 	for i, c := range cycles {
 		l.Begin()
-		l.Charge(WalkFull, c)
-		l.End(uint64(i)<<addr.Shift4K, addr.Page4K, -1, false)
+		l.Step(WalkFull, -1, c)
+		l.End(Access{VA: uint64(i) << addr.Shift4K, Size: addr.Page4K, HitLevel: -1})
 	}
 	top := l.Top()
 	if len(top) != k {
@@ -171,8 +156,8 @@ func TestTailTiesKeepEarliest(t *testing.T) {
 	l := New(2)
 	for i := 0; i < 10; i++ {
 		l.Begin()
-		l.Charge(WalkFull, 50) // all equal: later accesses must not displace
-		l.End(uint64(i), addr.Page4K, -1, false)
+		l.Step(WalkFull, -1, 50) // all equal: later accesses must not displace
+		l.End(Access{VA: uint64(i), Size: addr.Page4K, HitLevel: -1})
 	}
 	top := l.Top()
 	if len(top) != 2 || top[0].Seq != 0 || top[1].Seq != 1 {
@@ -196,11 +181,11 @@ func TestTailDeterministic(t *testing.T) {
 		rng := simrand.New(7)
 		for i := 0; i < 5000; i++ {
 			l.Begin()
-			l.ChargeProbe(0, 1)
+			l.Step(L1Probe, 0, 1)
 			if rng.Uint64n(4) == 0 {
-				l.ChargeWalk(WalkFull, rng.Uint64n(200), 4)
+				l.Step(WalkFull, -1, rng.Uint64n(200))
 			}
-			l.End(rng.Uint64(), addr.Page4K, -1, false)
+			l.End(Access{VA: rng.Uint64(), Size: addr.Page4K, HitLevel: -1, WalkRefs: 4})
 		}
 		return l.Top()
 	}
@@ -220,13 +205,12 @@ func TestHotPathAllocs(t *testing.T) {
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		l.Begin()
-		l.ChargeProbe(0, 1)
-		l.ChargeProbe(1, 7)
-		l.Charge(VictimProbe, 20)
-		l.ChargeWalk(WalkPWC, uint64(i%97), 2)
-		l.Charge(DirtyAssist, 0)
-		l.End(uint64(i), addr.Page2M, -1, false)
-		l.Event(Shootdown)
+		l.Step(L1Probe, 0, 1)
+		l.Step(L2Probe, 1, 7)
+		l.Step(VictimProbe, -1, 20)
+		l.Step(WalkPWC, -1, uint64(i%97))
+		l.Step(DirtyAssist, -1, 0)
+		l.End(Access{VA: uint64(i), Size: addr.Page2M, HitLevel: -1, WalkRefs: 2})
 		i++
 	})
 	if avg != 0 {

@@ -1,7 +1,5 @@
 package ledger
 
-import "mixtlb/internal/addr"
-
 // MaxTailK bounds the tail flight recorder: the records live in one
 // fixed allocation made at construction, never grown, so a runaway K
 // cannot turn the recorder into a memory sink.
@@ -11,12 +9,7 @@ const MaxTailK = 64
 // the request landed, how deep the walk went, how many oracle retries it
 // ate, its total cycles, and the merged per-level charge trail.
 type TailRecord struct {
-	VA       uint64
-	Size     addr.PageSize
-	HitLevel int8 // -1 = walked or faulted
-	Faulted  bool
-	WalkRefs uint16
-	Retries  uint8
+	Access
 	Cycles   uint64
 	Seq      uint64 // access index within the measurement interval
 	trail    [MaxTrail]Step
@@ -67,7 +60,7 @@ func (t *Tail) refreshMin() {
 }
 
 // offer records the just-ended access if it ranks among the K slowest.
-func (t *Tail) offer(l *Ledger, va uint64, size addr.PageSize, hitLevel int8, faulted bool, seq uint64) {
+func (t *Tail) offer(l *Ledger, a Access, seq uint64) {
 	var slot int
 	switch {
 	case t.n < t.k:
@@ -79,12 +72,7 @@ func (t *Tail) offer(l *Ledger, va uint64, size addr.PageSize, hitLevel int8, fa
 		return
 	}
 	r := &t.records[slot]
-	r.VA = va
-	r.Size = size
-	r.HitLevel = hitLevel
-	r.Faulted = faulted
-	r.WalkRefs = l.walkRefs
-	r.Retries = l.retries
+	r.Access = a
 	r.Cycles = l.cycles
 	r.Seq = seq
 	r.trail = l.trail

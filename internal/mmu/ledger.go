@@ -2,28 +2,18 @@ package mmu
 
 import "mixtlb/internal/ledger"
 
-// AttachLedger enables (or, with nil, disables) cycle attribution for
-// this MMU. The ledger observes every cycle-charging site on the
-// translation path — probes per level, extra probe rounds, victim-level
-// cache probes, walks (full and PWC-shortened), dirty-bit assists, memo
-// replays, oracle-retry re-translations — plus shootdown events, and
-// never influences simulation results: tables are byte-identical with a
-// ledger attached or not. Like telemetry, the disabled state costs a
-// single nil-check branch per site.
+// AttachLedger enables (or, with nil, disables) charge trails for this
+// MMU. The ledger sees every charge the MMU books in Stats.Books — probes
+// per level, extra probe rounds, victim-level cache probes, walks (full,
+// PWC-shortened and contiguity-encoded), dirty-bit assists, memo replays
+// and oracle-retry re-translations — as a step of the in-flight access's
+// trail, and feeds its tail recorder when one is armed. It never
+// influences simulation results: tables are byte-identical with a ledger
+// attached or not. Like telemetry, the disabled state costs a single
+// nil-check branch per charge.
 //
 // The ledger belongs to this MMU's simulation goroutine; never share one
-// ledger across MMUs (per-category sums would interleave and Audit
-// against any single MMU's Stats would fail).
+// ledger across MMUs (trails of different MMUs would interleave).
 func (m *MMU) AttachLedger(l *ledger.Ledger) {
 	m.led = l
-}
-
-// Ledger returns the attached ledger, nil when attribution is disabled.
-func (m *MMU) Ledger() *ledger.Ledger { return m.led }
-
-// AuditLedger checks the conservation invariant — attributed cycles sum
-// exactly to Stats.Cycles — returning a *ledger.ConservationError on any
-// leak. With no ledger attached it reports clean.
-func (m *MMU) AuditLedger() error {
-	return m.led.Audit(m.stats.Cycles)
 }

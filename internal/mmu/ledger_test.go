@@ -4,80 +4,119 @@ import (
 	"testing"
 
 	"mixtlb/internal/addr"
+	"mixtlb/internal/cachesim"
 	"mixtlb/internal/chaos"
 	"mixtlb/internal/ledger"
 	"mixtlb/internal/tlb"
 )
 
-// TestLedgerConservationAllDesigns is the core invariant of the
-// attribution layer: for every registered design (split, MIX, rehash,
-// skew, COLT, ideal, PWC, victim-level variants, ...), a mixed
-// read/write stream with interleaved shootdowns attributes every single
-// cycle — the per-category sums equal Stats.Cycles exactly.
+// conservationHierarchy is a small cache hierarchy with distinctive
+// latencies, so a cycle booked against the wrong cache event cannot
+// cancel out in the cachesim re-derivation below.
+func conservationHierarchy() *cachesim.Hierarchy {
+	return cachesim.NewHierarchy([]cachesim.Level{
+		{Name: "L1D", Size: 4 << 10, Ways: 4, Latency: 3},
+		{Name: "L2", Size: 32 << 10, Ways: 8, Latency: 11},
+	}, 97)
+}
+
+// cacheCycles re-derives every cycle the data-cache hierarchy charged
+// from cachesim's own counters: each access pays the latency of every
+// level it probed, and each DRAM reference the memory latency on top.
+func cacheCycles(h *cachesim.Hierarchy) uint64 {
+	cycles := h.MemAccesses() * h.MemLatency()
+	lat := []uint64{3, 11}
+	for i := 0; i < h.Levels(); i++ {
+		_, accesses, _ := h.LevelStats(i)
+		cycles += accesses * lat[i]
+	}
+	return cycles
+}
+
+// trailCycles sums the last translation's charge trail.
+func trailCycles(led *ledger.Ledger) uint64 {
+	var sum uint64
+	for _, st := range led.Trail() {
+		sum += st.Cycles
+	}
+	return sum
+}
+
+// TestLedgerConservationAllDesigns is the conservation invariant of the
+// cycle books, corroborated independently of MMU.charge: for every
+// registry design, a mixed read/write stream with interleaved shootdowns
+//   - books exactly the data-cache time cachesim's counters imply as
+//     WalkCycles + VictimProbeCycles,
+//   - books exactly the sum of its per-access Result.Cycles as Stats.Cycles,
+//   - and closes one ledger trail per access that sums to that access's
+//     cycles.
+//
+// After ResetStats the books re-open empty, exactly like the
+// warmup/measure boundary.
 func TestLedgerConservationAllDesigns(t *testing.T) {
 	const pages4k = 1024
-	for _, d := range allTestDesigns() {
-		t.Run(string(d), func(t *testing.T) {
-			_, mapped := buildRefEnv(t, pages4k)
-			reqs := randomRequests(0x1ed6e4+uint64(len(d)), mapped, 6000)
-			m := buildDesign(t, d, pages4k)
-			led := ledger.New(8)
-			m.AttachLedger(led)
-			for i, r := range reqs {
-				m.Translate(r)
-				switch i % 997 {
-				case 250:
-					m.Invalidate(r.VA, addr.Page4K)
-				case 500:
-					m.Flush()
-				}
-			}
-			if err := m.AuditLedger(); err != nil {
+	reg := DefaultRegistry()
+	for _, name := range reg.Names() {
+		t.Run(name, func(t *testing.T) {
+			e, mapped := buildRefEnv(t, pages4k)
+			caches := conservationHierarchy()
+			m, err := reg.Build(name, e.pt, e.pt, caches, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
+			led := ledger.New(8)
+			m.AttachLedger(led)
+			reqs := randomRequests(0x1ed6e4+uint64(len(name)), mapped, 6000)
+			run := func(reqs []tlb.Request) uint64 {
+				var sum uint64
+				for i, r := range reqs {
+					res := m.Translate(r)
+					sum += res.Cycles
+					if got := trailCycles(led); got != res.Cycles {
+						t.Fatalf("access %d: trail %s sums to %d, result charged %d",
+							i, ledger.TrailString(led.Trail()), got, res.Cycles)
+					}
+					switch i % 997 {
+					case 250:
+						m.Invalidate(r.VA, addr.Page4K)
+					case 500:
+						m.Flush()
+					}
+				}
+				return sum
+			}
+			sum := run(reqs)
 			st := m.Stats()
-			e := led.Entries()
-			// The ledger's walk books must agree with the aggregate
-			// counters perfmodel consumes: retry-free runs attribute walk
-			// cycles and victim-probe cycles to their own categories,
-			// nothing else.
-			if got := e[ledger.WalkFull].Cycles + e[ledger.WalkPWC].Cycles; got != st.WalkCycles {
-				t.Errorf("walk attribution %d != Stats.WalkCycles %d", got, st.WalkCycles)
+			if got, want := st.WalkCycles+st.VictimProbeCycles, cacheCycles(caches); got != want {
+				t.Errorf("walk+victim books %d != %d cycles re-derived from cachesim", got, want)
 			}
-			if got := e[ledger.VictimProbe].Cycles; got != st.VictimProbeCycles {
-				t.Errorf("victim attribution %d != Stats.VictimProbeCycles %d", got, st.VictimProbeCycles)
+			if sum != st.Cycles {
+				t.Errorf("results charged %d cycles, Stats.Cycles %d", sum, st.Cycles)
 			}
-			if e[ledger.ChaosRetry] != (ledger.Entry{}) {
-				t.Errorf("chaos-retry books nonzero without an oracle: %+v", e[ledger.ChaosRetry])
-			}
-			if e[ledger.Shootdown].Events != st.Invalidations+st.Flushes {
-				t.Errorf("shootdown events %d != invalidations+flushes %d",
-					e[ledger.Shootdown].Events, st.Invalidations+st.Flushes)
+			if st.Books[ledger.ChaosRetry] != 0 {
+				t.Errorf("chaos-retry books %d without an oracle", st.Books[ledger.ChaosRetry])
 			}
 			if led.Accesses() != st.Accesses {
 				t.Errorf("ledger closed %d accesses, Stats saw %d", led.Accesses(), st.Accesses)
 			}
-			// ResetStats must re-open clean books mid-run, exactly like
-			// the warmup/measure boundary.
+
 			m.ResetStats()
-			for _, r := range reqs[:1500] {
-				m.Translate(r)
+			if st := m.Stats(); st.Books != ([ledger.NumCategories]uint64{}) || st.Cycles != 0 || led.Accesses() != 0 {
+				t.Fatalf("ResetStats left books %v, cycles %d, %d ledger accesses", st.Books, st.Cycles, led.Accesses())
 			}
-			if err := m.AuditLedger(); err != nil {
-				t.Fatalf("post-reset: %v", err)
-			}
-			if m.Stats().Cycles == 0 {
-				t.Fatal("post-reset interval charged no cycles")
+			sum = run(reqs[:1500])
+			if st := m.Stats(); st.Cycles == 0 || st.Cycles != sum {
+				t.Fatalf("post-reset: results charged %d cycles, Stats.Cycles %d", sum, st.Cycles)
 			}
 		})
 	}
 }
 
-// TestLedgerConservationUnderChaos audits the retry-redirect path: with
-// an injector corrupting hits and walks and the oracle scrubbing and
-// re-translating, conservation still holds exactly and the retries'
-// cycles land in the chaos-retry category instead of polluting the
-// steady-state ones.
+// TestLedgerConservationUnderChaos covers the retry redirect: with an
+// injector corrupting hits and walks and the oracle scrubbing and
+// re-translating, the retries' cycles land in the chaos-retry books
+// instead of polluting the steady-state ones, and the per-access ledger
+// trails — which span every retry pass — still sum to Stats.Cycles.
 func TestLedgerConservationUnderChaos(t *testing.T) {
 	for _, d := range []Design{DesignSplit, DesignMix, DesignVictima, DesignSplitPWC} {
 		t.Run(string(d), func(t *testing.T) {
@@ -88,22 +127,52 @@ func TestLedgerConservationUnderChaos(t *testing.T) {
 			m.AttachOracle(chaos.NewOracle(e.pt))
 			led := ledger.New(0)
 			m.AttachLedger(led)
+			var trails uint64
 			for round := 0; round < 40; round++ {
 				for va := range want {
 					m.Translate(tlb.Request{VA: va + 0x40, Write: round%3 == 0})
+					trails += trailCycles(led)
 				}
-			}
-			if err := m.AuditLedger(); err != nil {
-				t.Fatal(err)
 			}
 			st := m.Stats()
 			if st.OracleMismatches == 0 {
 				t.Fatal("chaos rates never tripped the oracle; test exercises nothing")
 			}
-			if led.Entries()[ledger.ChaosRetry].Cycles == 0 {
+			if st.Books[ledger.ChaosRetry] == 0 {
 				t.Error("oracle retries charged no cycles to chaos-retry")
 			}
+			if trails != st.Cycles {
+				t.Errorf("ledger trails sum to %d cycles, Stats.Cycles %d", trails, st.Cycles)
+			}
 		})
+	}
+}
+
+// TestChargeRetryRedirect pins charge's redirect: while an oracle retry
+// is in flight every charge lands in chaos-retry, in the books and on
+// the trail, whatever category and level its site named.
+func TestChargeRetryRedirect(t *testing.T) {
+	m := splitMMU(newEnv(t), nil)
+	led := ledger.New(0)
+	m.AttachLedger(led)
+	var res Result
+	led.Begin()
+	m.charge(&res, ledger.L1Probe, 0, 1)
+	m.retrying = true
+	m.charge(&res, ledger.L1Probe, 0, 1)
+	m.charge(&res, ledger.WalkPWC, -1, 30)
+	m.retrying = false
+	led.End(ledger.Access{})
+
+	st := m.Stats()
+	if st.Books[ledger.L1Probe] != 1 || st.Books[ledger.ChaosRetry] != 31 || st.Books[ledger.WalkPWC] != 0 {
+		t.Fatalf("redirect books: %v", st.Books)
+	}
+	if st.Cycles != 32 || res.Cycles != 32 || st.WalkCycles != 0 {
+		t.Fatalf("cycles: stats %d, result %d, walk %d", st.Cycles, res.Cycles, st.WalkCycles)
+	}
+	if got := ledger.TrailString(led.Trail()); got != "L1:1 chaos-retry:31x2" {
+		t.Fatalf("trail = %q", got)
 	}
 }
 

@@ -122,8 +122,12 @@ type Stats struct {
 	// Always zero on descriptors without one, including default x86-64.
 	ContigWalks uint64
 
+	// Books holds every charged translation cycle, each in exactly one
+	// ledger category; MMU.charge is its only writer. Cycles, WalkCycles
+	// and VictimProbeCycles are sums over it that MMU.Stats fills in.
+	Books      [ledger.NumCategories]uint64
 	Cycles     uint64 // total translation cycles
-	WalkCycles uint64 // subset spent in page-table walks
+	WalkCycles uint64 // subset spent in page-table walks (retries excluded)
 
 	L1Lookup tlb.Cost // accumulated lookup costs
 	L2Lookup tlb.Cost
@@ -146,7 +150,7 @@ type Stats struct {
 	DemotionDrops     uint64 // evicted entries the victim level refused (e.g. 1GB)
 	VictimEvictions   uint64 // victim-level PTEs displaced by absorbing demotions
 	VictimProbes      uint64 // victim-level probes issued (hits and misses)
-	VictimProbeCycles uint64 // cycles those probes spent in the data caches
+	VictimProbeCycles uint64 // cycles those probes spent in the data caches (retries excluded)
 
 	// Fault-injection accounting (zero unless chaos/oracle attached).
 	ECC              tlb.ECCStats
@@ -226,12 +230,16 @@ type MMU struct {
 	memoOK   bool
 	memo     memoEntry
 
+	// retrying marks an oracle-triggered re-translation in flight: charge
+	// books its cycles as ChaosRetry, the cost of the injected fault.
+	retrying bool
+
 	// tel is the telemetry hook block, nil unless AttachTelemetry enabled
 	// it; every use is a single nil-check branch.
 	tel *mmuTel
-	// led is the cycle-attribution ledger, nil unless AttachLedger
-	// enabled it; like tel, every use is a single nil-check branch and
-	// it observes charges without ever influencing them.
+	// led is the charge-trail ledger, nil unless AttachLedger enabled
+	// it; like tel, every use is a single nil-check branch and it
+	// observes charges without ever influencing them.
 	led *ledger.Ledger
 }
 
@@ -353,9 +361,15 @@ func (m *MMU) LevelTLBs() []tlb.TLB {
 func (m *MMU) PWC() *pwc.Cache { return m.pwc }
 
 // Stats returns a snapshot of the counters, folding the per-level
-// counters into the legacy two-level fields.
+// counters into the legacy two-level fields and the cycle books into
+// their Cycles, WalkCycles and VictimProbeCycles sums.
 func (m *MMU) Stats() Stats {
 	s := m.stats
+	for _, c := range s.Books {
+		s.Cycles += c
+	}
+	s.WalkCycles = s.Books[ledger.WalkFull] + s.Books[ledger.WalkPWC] + s.Books[ledger.WalkContig]
+	s.VictimProbeCycles = s.Books[ledger.VictimProbe]
 	s.L1Hits = m.levels[0].hits
 	s.L1Lookup = m.levels[0].lookup
 	s.L1Fill = m.levels[0].fill
@@ -439,46 +453,47 @@ func (m *MMU) Translate(req tlb.Request) Result {
 	}
 	m.stats.Accesses++
 	if m.led == nil {
-		return m.translateChecked(req)
+		res, _ := m.translateChecked(req)
+		return res
 	}
+	refs := m.stats.WalkRefs
 	m.led.Begin()
-	res := m.translateChecked(req)
-	m.led.End(uint64(req.VA), res.Size, res.HitLevel, res.Faulted)
+	res, retries := m.translateChecked(req)
+	m.led.End(ledger.Access{VA: uint64(req.VA), Size: res.Size, HitLevel: res.HitLevel,
+		Faulted: res.Faulted, WalkRefs: uint16(m.stats.WalkRefs - refs), Retries: uint8(retries)})
 	return res
 }
 
 // translateChecked is Translate's body after the memo and ledger
-// bookkeeping: one hierarchy pass plus the oracle's scrub-and-retry loop.
-// Retry passes run with the ledger's charges redirected to its
-// chaos-retry category — their cycles are the cost of the injected
-// fault, not of the design.
-func (m *MMU) translateChecked(req tlb.Request) Result {
+// bookkeeping: one hierarchy pass plus the oracle's scrub-and-retry loop,
+// returning the result and the number of retry passes. Retry passes book
+// their cycles as chaos-retry — the cost of the injected fault, not of
+// the design.
+func (m *MMU) translateChecked(req tlb.Request) (Result, int) {
 	res := m.translateOnce(req)
 	if m.oracle == nil || res.Faulted {
-		return res
+		return res, 0
 	}
 	mismatched := false
+	retries := 0
 	for try := 0; try <= maxOracleRetries; try++ {
 		mm := m.oracle.Check(m.cfg.Name, res.provenance(), req.VA, res.Size, res.PA)
 		if mm == nil {
 			if mismatched {
 				m.stats.OracleRecoveries++
 			}
-			return res
+			return res, retries
 		}
 		mismatched = true
 		m.stats.OracleMismatches++
 		m.scrubCorrupt(req.VA, res.Size)
 		if try < maxOracleRetries {
-			if m.led != nil {
-				m.led.SetRetry(true)
-			}
+			m.retrying = true
 			res = m.translateOnce(req)
-			if m.led != nil {
-				m.led.SetRetry(false)
-			}
+			m.retrying = false
+			retries++
 			if res.Faulted {
-				return res
+				return res, retries
 			}
 		}
 	}
@@ -491,7 +506,7 @@ func (m *MMU) translateChecked(req tlb.Request) Result {
 	} else {
 		m.stats.OracleUnrecovered++
 	}
-	return res
+	return res, retries
 }
 
 // replayMemo serves a consecutive access to the last memoized 4KB page
@@ -512,21 +527,38 @@ func (m *MMU) replayMemo(req tlb.Request) (Result, bool) {
 	m.stats.Accesses++
 	m.levels[0].hits++
 	m.levels[0].lookup.Add(m.memo.cost)
-	m.stats.Cycles += m.memo.cycles
 	if m.tel != nil {
 		m.tel.memoHits.Inc()
 	}
+	res := Result{
+		PA:    m.memo.paBase + addr.P(uint64(req.VA)&((1<<addr.Shift4K)-1)),
+		Size:  m.memo.size,
+		L1Hit: true,
+	}
 	if m.led != nil {
 		m.led.Begin()
-		m.led.Charge(ledger.MemoReplay, m.memo.cycles)
-		m.led.End(uint64(req.VA), m.memo.size, 0, false)
 	}
-	return Result{
-		PA:     m.memo.paBase + addr.P(uint64(req.VA)&((1<<addr.Shift4K)-1)),
-		Size:   m.memo.size,
-		Cycles: m.memo.cycles,
-		L1Hit:  true,
-	}, true
+	m.charge(&res, ledger.MemoReplay, -1, m.memo.cycles)
+	if m.led != nil {
+		m.led.End(ledger.Access{VA: uint64(req.VA), Size: res.Size})
+	}
+	return res, true
+}
+
+// charge is the single point where the MMU spends cycles: they add to
+// the access's Result, land in exactly one Stats.Books category
+// (ChaosRetry while an oracle retry is in flight), and, only when a
+// ledger is attached, extend its trail. level is the probed hierarchy
+// level, or -1 for charges that are not probes.
+func (m *MMU) charge(res *Result, cat ledger.Category, level int, cycles uint64) {
+	if m.retrying {
+		cat, level = ledger.ChaosRetry, -1
+	}
+	res.Cycles += cycles
+	m.stats.Books[cat] += cycles
+	if m.led != nil {
+		m.led.Step(cat, int8(level), cycles)
+	}
 }
 
 // TranslateBatch translates reqs[i] into out[i], amortizing per-call
@@ -557,10 +589,7 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 	for li := range m.levels {
 		lv := &m.levels[li]
 		if lv.cacheRes == nil {
-			res.Cycles += lv.lat
-			if m.led != nil {
-				m.led.ChargeProbe(li, lv.lat)
-			}
+			m.charge(&res, ledger.ProbeCategory(li), li, lv.lat)
 		}
 		r := lv.tlb.Lookup(req)
 		if lv.cacheRes != nil {
@@ -572,11 +601,7 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 		}
 		lv.lookup.Add(r.Cost)
 		if r.Cost.Probes > 1 && lv.cacheRes == nil {
-			extra := uint64(r.Cost.Probes-1) * m.cfg.Lat.ExtraProbe
-			res.Cycles += extra
-			if m.led != nil {
-				m.led.Charge(ledger.ExtraProbe, extra)
-			}
+			m.charge(&res, ledger.ExtraProbe, -1, uint64(r.Cost.Probes-1)*m.cfg.Lat.ExtraProbe)
 		}
 		if r.Hit {
 			switch m.chaos.CorruptTLBHit(&r.T) {
@@ -634,7 +659,6 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 			}
 		}
 		m.handleDirty(req, r.Dirty, &res, nil)
-		m.stats.Cycles += res.Cycles
 		if li == 0 && m.memoOK && (!req.Write || r.Dirty) {
 			// A pure first-level hit (no dirty transition): memoize it so
 			// consecutive same-page accesses replay without re-probing.
@@ -655,7 +679,6 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 	if !walk.Found {
 		res.Faulted = true
 		m.stats.Faults++
-		m.stats.Cycles += res.Cycles
 		return res
 	}
 	if m.chaos.CorruptWalk(walk) {
@@ -670,7 +693,6 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 		m.levels[li].fill.Add(m.levels[li].tlb.Fill(req, *walk))
 	}
 	m.handleDirty(req, walk.Translation.Dirty, &res, walk)
-	m.stats.Cycles += res.Cycles
 	return res
 }
 
@@ -679,20 +701,14 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 // level's configured latency stands in.
 func (m *MMU) chargeCacheProbes(lv *hierLevel, res *Result) {
 	m.stats.VictimProbes++
-	start := res.Cycles
-	if m.caches == nil {
-		res.Cycles += lv.lat
-		m.stats.VictimProbeCycles += lv.lat
-	} else {
+	cycles := lv.lat
+	if m.caches != nil {
+		cycles = 0
 		for _, pa := range lv.cacheRes.ProbedLines() {
-			c := m.caches.Access(pa)
-			res.Cycles += c.Cycles
-			m.stats.VictimProbeCycles += c.Cycles
+			cycles += m.caches.Access(pa).Cycles
 		}
 	}
-	if m.led != nil {
-		m.led.Charge(ledger.VictimProbe, res.Cycles-start)
-	}
+	m.charge(res, ledger.VictimProbe, -1, cycles)
 }
 
 // demote is the eviction sink wired from the victim level's feeder: a
@@ -777,31 +793,27 @@ func (m *MMU) walk(req tlb.Request, res *Result) *pagetable.WalkResult {
 		}
 	}
 	if !m.cfg.FreeWalks {
-		start := res.Cycles
+		var cycles uint64
 		for _, pa := range walk.Accesses[skip:] {
 			m.stats.WalkRefs++
-			c := m.caches.Access(pa)
-			res.Cycles += c.Cycles
-			m.stats.WalkCycles += c.Cycles
+			cycles += m.caches.Access(pa).Cycles
 		}
 		if m.tel != nil {
 			m.tel.walkDepth.Observe(uint64(len(walk.Accesses) - skip))
-			m.tel.walkCycles.Observe(res.Cycles - start)
+			m.tel.walkCycles.Observe(cycles)
 		}
-		if m.led != nil {
-			// Contig outcome takes precedence: on NAPOT/contig-hint
-			// descriptors the breakdown's question is how much walk time
-			// the architectural encoding covers, and a PWC-shortened
-			// contig walk still learned the block from its leaf.
-			cat := ledger.WalkFull
-			if skip > 0 {
-				cat = ledger.WalkPWC
-			}
-			if walk.ContigPages > 0 {
-				cat = ledger.WalkContig
-			}
-			m.led.ChargeWalk(cat, res.Cycles-start, len(walk.Accesses)-skip)
+		// Contig outcome takes precedence: on NAPOT/contig-hint
+		// descriptors the breakdown's question is how much walk time the
+		// architectural encoding covers, and a PWC-shortened contig walk
+		// still learned the block from its leaf.
+		cat := ledger.WalkFull
+		if skip > 0 {
+			cat = ledger.WalkPWC
 		}
+		if walk.ContigPages > 0 {
+			cat = ledger.WalkContig
+		}
+		m.charge(res, cat, -1, cycles)
 	}
 	return walk
 }
@@ -821,10 +833,7 @@ func (m *MMU) handleDirty(req tlb.Request, entryDirty bool, res *Result, walk *p
 		return
 	}
 	m.stats.DirtyMicroOps++
-	res.Cycles += m.cfg.Lat.DirtyMicroOp
-	if m.led != nil {
-		m.led.Charge(ledger.DirtyAssist, m.cfg.Lat.DirtyMicroOp)
-	}
+	m.charge(res, ledger.DirtyAssist, -1, m.cfg.Lat.DirtyMicroOp)
 	// The assist read the PTE's cache line to write the D bit; coalescing
 	// TLBs use the neighbouring D bits to refresh bundle dirty state
 	// (free: the access already happened and is priced above).
@@ -871,9 +880,6 @@ func (m *MMU) handleDirty(req tlb.Request, entryDirty bool, res *Result, walk *p
 func (m *MMU) Invalidate(va addr.V, size addr.PageSize) {
 	m.stats.Invalidations++
 	m.memo = memoEntry{}
-	if m.led != nil {
-		m.led.Event(ledger.Shootdown)
-	}
 	for li := range m.levels {
 		m.levels[li].tlb.Invalidate(va, size)
 	}
@@ -886,15 +892,50 @@ func (m *MMU) Invalidate(va addr.V, size addr.PageSize) {
 func (m *MMU) Flush() {
 	m.stats.Flushes++
 	m.memo = memoEntry{}
-	if m.led != nil {
-		m.led.Event(ledger.Shootdown)
-	}
 	for li := range m.levels {
 		m.levels[li].tlb.Flush()
 	}
 	if m.pwc != nil {
 		m.pwc.Flush()
 	}
+}
+
+// Add accumulates o into s field by field: the one aggregator for
+// systems of several MMUs (SMP cores, GPU shader cores).
+func (s *Stats) Add(o Stats) {
+	s.Accesses += o.Accesses
+	s.L1Hits += o.L1Hits
+	s.L2Hits += o.L2Hits
+	s.DeepHits += o.DeepHits
+	s.Walks += o.Walks
+	s.Faults += o.Faults
+	s.ContigWalks += o.ContigWalks
+	for i := range s.Books {
+		s.Books[i] += o.Books[i]
+	}
+	s.Cycles += o.Cycles
+	s.WalkCycles += o.WalkCycles
+	s.L1Lookup.Add(o.L1Lookup)
+	s.L2Lookup.Add(o.L2Lookup)
+	s.L1Fill.Add(o.L1Fill)
+	s.L2Fill.Add(o.L2Fill)
+	s.WalkRefs += o.WalkRefs
+	s.DirtyMicroOps += o.DirtyMicroOps
+	s.Invalidations += o.Invalidations
+	s.Flushes += o.Flushes
+	s.PWCHits += o.PWCHits
+	s.PWCMisses += o.PWCMisses
+	s.PWCSkippedRefs += o.PWCSkippedRefs
+	s.Demotions += o.Demotions
+	s.DemotionDrops += o.DemotionDrops
+	s.VictimEvictions += o.VictimEvictions
+	s.VictimProbes += o.VictimProbes
+	s.VictimProbeCycles += o.VictimProbeCycles
+	s.ECC.Add(o.ECC)
+	s.PTECorruptions += o.PTECorruptions
+	s.OracleMismatches += o.OracleMismatches
+	s.OracleRecoveries += o.OracleRecoveries
+	s.OracleUnrecovered += o.OracleUnrecovered
 }
 
 // MissRatio returns overall TLB miss ratio (walks / accesses).

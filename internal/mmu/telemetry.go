@@ -65,7 +65,7 @@ func (m *MMU) AttachTelemetry(c *telemetry.Collector) {
 	}
 }
 
-// FlushTelemetry exports the MMU's accumulated Stats counters and a
+// FlushTelemetry exports the MMU's Stats snapshot and a
 // per-set occupancy snapshot of every hierarchy level into the registry.
 // Call it once, after measurement; it reads Stats but never writes
 // simulator state, so results are identical with telemetry on or off.
@@ -74,7 +74,7 @@ func (m *MMU) FlushTelemetry() {
 		return
 	}
 	mc := m.tel.col
-	s := m.stats
+	s := m.Stats()
 	mc.Counter("mmu_accesses_total").Add(s.Accesses)
 	mc.Counter("mmu_walks_charged_total").Add(s.Walks)
 	mc.Counter("mmu_faults_total").Add(s.Faults)

@@ -6,7 +6,10 @@
 // instruction).
 package perfmodel
 
-import "mixtlb/internal/mmu"
+import (
+	"mixtlb/internal/ledger"
+	"mixtlb/internal/mmu"
+)
 
 // Params characterizes a workload for the analytical model.
 type Params struct {
@@ -97,4 +100,22 @@ func (e Estimate) OverheadVsIdealPercent() float64 {
 		return 0
 	}
 	return 100 * e.TranslationCycles / e.BaseCycles
+}
+
+// AttributionShares converts per-category cycle books (Stats.Books) into
+// percentage shares of their total — the stacked columns of the
+// breakdown experiment. All zeros when nothing was charged.
+func AttributionShares(books [ledger.NumCategories]uint64) [ledger.NumCategories]float64 {
+	var out [ledger.NumCategories]float64
+	var total uint64
+	for _, c := range books {
+		total += c
+	}
+	if total == 0 {
+		return out
+	}
+	for i, c := range books {
+		out[i] = 100 * float64(c) / float64(total)
+	}
+	return out
 }

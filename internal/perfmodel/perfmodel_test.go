@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mixtlb/internal/ledger"
 	"mixtlb/internal/mmu"
 )
 
@@ -81,5 +82,25 @@ func TestMoreMissesMoreTranslationShare(t *testing.T) {
 	high := p.Runtime(mmu.Stats{Accesses: 10000, Cycles: 90000})
 	if low.PctTranslation() >= high.PctTranslation() {
 		t.Error("translation share not monotone in cycles")
+	}
+}
+
+func TestAttributionShares(t *testing.T) {
+	var books [ledger.NumCategories]uint64
+	if got := AttributionShares(books); got != ([ledger.NumCategories]float64{}) {
+		t.Fatalf("empty books produced shares %v", got)
+	}
+	books[ledger.L1Probe] = 25
+	books[ledger.WalkFull] = 75
+	got := AttributionShares(books)
+	if got[ledger.L1Probe] != 25 || got[ledger.WalkFull] != 75 {
+		t.Fatalf("shares = %v", got)
+	}
+	var sum float64
+	for _, s := range got {
+		sum += s
+	}
+	if sum != 100 {
+		t.Fatalf("shares sum to %v, want 100", sum)
 	}
 }

@@ -167,35 +167,7 @@ func (s *System) deliverIPI(c *mmu.MMU, tr pagetable.Translation) {
 func (s *System) Aggregate() mmu.Stats {
 	var total mmu.Stats
 	for _, c := range s.cores {
-		st := c.Stats()
-		total.Accesses += st.Accesses
-		total.L1Hits += st.L1Hits
-		total.L2Hits += st.L2Hits
-		total.DeepHits += st.DeepHits
-		total.Walks += st.Walks
-		total.Faults += st.Faults
-		total.Cycles += st.Cycles
-		total.WalkCycles += st.WalkCycles
-		total.WalkRefs += st.WalkRefs
-		total.DirtyMicroOps += st.DirtyMicroOps
-		total.Invalidations += st.Invalidations
-		total.PWCHits += st.PWCHits
-		total.PWCMisses += st.PWCMisses
-		total.PWCSkippedRefs += st.PWCSkippedRefs
-		total.Demotions += st.Demotions
-		total.DemotionDrops += st.DemotionDrops
-		total.VictimEvictions += st.VictimEvictions
-		total.VictimProbes += st.VictimProbes
-		total.VictimProbeCycles += st.VictimProbeCycles
-		total.ECC.Add(st.ECC)
-		total.PTECorruptions += st.PTECorruptions
-		total.OracleMismatches += st.OracleMismatches
-		total.OracleRecoveries += st.OracleRecoveries
-		total.OracleUnrecovered += st.OracleUnrecovered
-		total.L1Lookup.Add(st.L1Lookup)
-		total.L2Lookup.Add(st.L2Lookup)
-		total.L1Fill.Add(st.L1Fill)
-		total.L2Fill.Add(st.L2Fill)
+		total.Add(c.Stats())
 	}
 	return total
 }

@@ -15,6 +15,12 @@ import (
 
 func newSMP(t *testing.T, design mmu.Design, cores int) (*System, *osmm.AddressSpace, addr.V, uint64) {
 	t.Helper()
+	return newSMPWith(t, design, cores, cachesim.DefaultHierarchy())
+}
+
+// newSMPWith is newSMP over a caller-supplied cache hierarchy.
+func newSMPWith(t *testing.T, design mmu.Design, cores int, caches *cachesim.Hierarchy) (*System, *osmm.AddressSpace, addr.V, uint64) {
+	t.Helper()
 	phys := physmem.NewBuddy(1 << 30)
 	as, err := osmm.New(phys, osmm.Config{Policy: osmm.THS})
 	if err != nil {
@@ -28,7 +34,7 @@ func newSMP(t *testing.T, design mmu.Design, cores int) (*System, *osmm.AddressS
 	if _, err := as.Populate(base, fp); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(Config{Cores: cores, Design: design}, as, cachesim.DefaultHierarchy())
+	sys, err := New(Config{Cores: cores, Design: design}, as, caches)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,17 +209,32 @@ fi
 echo "== telemetry zero-alloc guard"
 go test ./internal/mmu/ -run 'TestTranslateZeroAllocTelemetry' -count=1 > /dev/null
 
-# Cycle-provenance ledger: conservation must hold per cell across every
-# registry design (chaos and shootdowns included), attribution must be an
-# observer (armed vs disarmed tables byte-identical), and the translate
+# run_each PKG 'A|B|...': go test -run over the alternation, after
+# requiring every alternative to name at least one test (a -run filter
+# that matches nothing passes silently).
+run_each() {
+    for alt in $(printf '%s' "$2" | tr '|' ' '); do
+        if ! go test "$1" -list "$alt" | grep -q '^Test'; then
+            echo "FAIL: -run filter '$alt' matches no test in $1" >&2
+            exit 1
+        fi
+    done
+    go test "$1" -run "$2" -count=1 > /dev/null
+}
+
+# Cycle books: walk and victim-probe books must match the cycles
+# re-derived from cachesim's counters for every registry design, results
+# and ledger trails must sum to Stats.Cycles (chaos retries and shootdown
+# storms included), Stats.Add must cover every field, the ledger must be
+# an observer (armed vs disarmed results identical), and the translate
 # loop must stay zero-alloc with the ledger attached and detached.
 echo "== ledger conservation audit"
 go test ./internal/ledger/ -count=1 > /dev/null
-go test ./internal/mmu/ -run 'TestLedgerConservation|TestLedgerObserverOnly|TestTranslateZeroAllocLedger' -count=1 > /dev/null
-go test ./internal/smp/ -run 'TestLedgerConservationUnderShootdowns' -count=1 > /dev/null
+run_each ./internal/mmu/ 'TestLedgerConservation|TestChargeRetryRedirect|TestStatsAddCoversEveryField|TestLedgerObserverOnly|TestTranslateZeroAllocLedger'
+run_each ./internal/smp/ 'TestLedgerConservationUnderShootdowns'
 go test ./internal/perfmodel/ -count=1 > /dev/null
 
-# The breakdown experiment (the ledger's table readout, audited in-cell)
+# The breakdown experiment (the cycle books' table readout)
 # must be jobs-invariant like every experiment, and match its checked-in
 # golden byte for byte.
 echo "== breakdown attribution table"
@@ -240,11 +255,12 @@ if ! cmp -s "$tmpdir/breakdown.golden" "$tmpdir/breakdown1.csv"; then
     exit 1
 fi
 
-# Ledger overhead: arming attribution on fig15r must keep the geomean
-# within the same 0.85x floor as the journaling/victim gates, against the
-# journaling-off baseline timed above.
+# Ledger overhead: arming the tail recorder (which attaches a ledger to
+# every MMU) on fig15r must keep the geomean within the same 0.85x floor
+# as the journaling/victim gates, against the journaling-off baseline
+# timed above.
 echo "== ledger overhead"
-"$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 -ledger-audit -tail 8 \
+"$tmpdir/mixtlb" -exp fig15r -quick -refs 300000 -jobs 1 -tail 8 \
     -bench-out "$tmpdir/ledger.json" > /dev/null
 ./scripts/benchdiff.sh "$tmpdir/nojournal.json" "$tmpdir/ledger.json" \
     -max-regression 40 > "$tmpdir/ledger-overhead.txt"
