@@ -188,14 +188,11 @@ type MixTLB struct {
 
 // entry is one MIX TLB way. A 2-bit size field distinguishes 4KB entries
 // from superpage bundles (Fig 5/6); the simulator keeps the fields
-// unpacked.
+// unpacked, ordered so an entry fills one 64-byte host cache line (fills
+// scan every way of every mirrored set).
 type entry struct {
 	valid bool
 	size  addr.PageSize
-
-	// 4KB entries.
-	vpn uint64
-	pa  addr.P
 
 	// Bundles (superpages always; 4KB pages when SmallCoalesce is on).
 	// window identifies the k-aligned group of page numbers (or, without
@@ -204,11 +201,15 @@ type entry struct {
 	// i's PA is basePA + i<<sizeShift. k is the entry's window capacity;
 	// k == 0 marks a plain (non-bundle) 4KB entry.
 	k      uint16
+	start  uint16 // Range encoding: first present slot
+	length uint16 // Range encoding: run length (0 = unused)
 	window uint64
 	basePA addr.P
 	bitmap uint64 // Bitmap encoding
-	start  uint16 // Range encoding: first present slot
-	length uint16 // Range encoding: run length (0 = unused)
+
+	// 4KB entries.
+	vpn uint64
+	pa  addr.P
 
 	perm  addr.Perm
 	dirty bool
@@ -219,7 +220,10 @@ type entry struct {
 	stamp   uint64
 }
 
-var _ tlb.TLB = (*MixTLB)(nil)
+var (
+	_ tlb.TLB            = (*MixTLB)(nil)
+	_ tlb.BundlePromoter = (*MixTLB)(nil)
+)
 
 // New builds a MIX TLB from cfg.
 func New(cfg Config) (*MixTLB, error) {
@@ -287,7 +291,7 @@ func (m *MixTLB) reportEviction(e *entry) {
 	}
 	for s := 0; s < int(e.k); s++ {
 		if e.memberPresent(m.cfg.Encoding, s) {
-			m.sink(m.memberTranslation(e, s), e.memberDirty(m.cfg.Encoding, s))
+			m.sink(m.memberTranslation(e, s), e.memberDirty(s))
 		}
 	}
 }
@@ -384,7 +388,7 @@ func (m *MixTLB) memberTranslation(e *entry, slot int) pagetable.Translation {
 		Size:     e.size,
 		Perm:     e.perm,
 		Accessed: true,
-		Dirty:    e.memberDirty(m.cfg.Encoding, slot),
+		Dirty:    e.memberDirty(slot),
 	}
 }
 
@@ -396,23 +400,52 @@ func (e *entry) memberCount(enc Encoding) int {
 	return int(e.length)
 }
 
-// groupHasMembers reports whether slot group g holds any present member.
-func (e *entry) groupHasMembers(enc Encoding, g int) bool {
-	if enc == Bitmap {
-		return e.bitmap&(uint64(0xff)<<(8*g)) != 0
-	}
-	lo, hi := int(e.start), int(e.start)+int(e.length)
-	return e.length > 0 && lo < 8*g+8 && hi > 8*g
-}
-
 // memberDirty reports the effective dirty state seen by a store to slot:
 // the whole-bundle bit or the slot's group bit.
-func (e *entry) memberDirty(enc Encoding, slot int) bool {
+func (e *entry) memberDirty(slot int) bool {
 	return e.dirty || e.dgroups&(1<<(slot/8)) != 0
 }
 
-// groupCount returns the number of slot groups in a bundle of capacity k.
-func groupCount(k int) int { return (k + 7) / 8 }
+// slots returns the bundle's present slots.
+func (e *entry) slots(enc Encoding) slotSet {
+	var s slotSet
+	if enc == Bitmap {
+		s[0] = e.bitmap
+	} else {
+		s.addRange(int(e.start), int(e.length))
+	}
+	return s
+}
+
+// dirtySlots returns the slots memberDirty reports dirty.
+func (e *entry) dirtySlots() slotSet {
+	if e.dirty {
+		return allSlots
+	}
+	return groupSlots(e.dgroups)
+}
+
+// groupMask has bit g set when slot group g holds a present member.
+func (e *entry) groupMask(enc Encoding) uint32 {
+	if enc == Bitmap {
+		return uint32(nonzeroBytes(e.bitmap))
+	}
+	if e.length == 0 {
+		return 0
+	}
+	lo, hi := int(e.start)/8, (int(e.start)+int(e.length)-1)/8
+	return uint32(uint64(2)<<hi - uint64(1)<<lo)
+}
+
+// vouchedGroups has bit g set when e vouches that every member it holds
+// in slot group g is dirty: the group is marked, holds none of e's
+// members, or e's whole-bundle bit is set.
+func (e *entry) vouchedGroups(enc Encoding) uint32 {
+	if e.dirty {
+		return ^uint32(0)
+	}
+	return e.dgroups | ^e.groupMask(enc)
+}
 
 // baseSVN returns the page number of the bundle's slot 0.
 func (m *MixTLB) baseSVN(e *entry) uint64 {
@@ -429,37 +462,47 @@ func (m *MixTLB) baseSVN(e *entry) uint64 {
 func (m *MixTLB) Lookup(req tlb.Request) tlb.Result {
 	m.clock++
 	res := tlb.Result{Cost: tlb.Cost{Probes: 1, WaysRead: m.cfg.Ways}}
-	set := m.data[m.setIndex(req.VA)]
-	m.dedupSet(set)
+	m.dedupSet(m.data[m.setIndex(req.VA)])
+	e, slot := m.find(req.VA)
+	if e == nil {
+		return res
+	}
+	e.stamp = m.clock
+	res.Hit = true
+	if e.k == 0 { // plain 4KB entry
+		res.T = pagetable.Translation{
+			VA: req.VA.PageBase(addr.Page4K), PA: e.pa, Size: addr.Page4K,
+			Perm: e.perm, Accessed: true, Dirty: e.dirty,
+		}
+		res.Dirty = e.dirty
+		return res
+	}
+	res.T = m.memberTranslation(e, slot)
+	res.Dirty = e.memberDirty(slot)
+	return res
+}
+
+// find returns the entry translating va — the first valid way of va's set
+// that is va's plain 4KB entry or a bundle with va's member present — and
+// va's slot in it (0 for a plain entry), or nil when va misses.
+func (m *MixTLB) find(va addr.V) (*entry, int) {
+	set := m.data[m.setIndex(va)]
 	for i := range set {
 		e := &set[i]
 		if !e.valid {
 			continue
 		}
-		if e.k == 0 { // plain 4KB entry
-			if e.vpn == req.VA.VPN4K() {
-				e.stamp = m.clock
-				res.Hit = true
-				res.T = pagetable.Translation{
-					VA: req.VA.PageBase(addr.Page4K), PA: e.pa, Size: addr.Page4K,
-					Perm: e.perm, Accessed: true, Dirty: e.dirty,
-				}
-				res.Dirty = e.dirty
-				return res
+		if e.k == 0 {
+			if e.vpn == va.VPN4K() {
+				return e, 0
 			}
 			continue
 		}
-		slot, ok := m.slotOf(e, req.VA)
-		if !ok || !e.memberPresent(m.cfg.Encoding, slot) {
-			continue
+		if slot, ok := m.slotOf(e, va); ok && e.memberPresent(m.cfg.Encoding, slot) {
+			return e, slot
 		}
-		e.stamp = m.clock
-		res.Hit = true
-		res.T = m.memberTranslation(e, slot)
-		res.Dirty = e.memberDirty(m.cfg.Encoding, slot)
-		return res
 	}
-	return res
+	return nil, 0
 }
 
 // LookupReplayConsistent implements tlb.ReplayConsistent: re-probing the
@@ -517,14 +560,15 @@ func (m *MixTLB) dedupSet(set []entry) {
 // mergeMembers folds b's members into a (same window/base/perm assumed),
 // reporting whether the union was representable. Bitmaps always union;
 // ranges union only when overlapping or adjacent. Dirty-group knowledge
-// survives a merge only where both sources agree (a group stays marked
-// all-dirty only if each contributor either marked it or had no members
-// there).
+// survives a merge only where both sources agree: a group stays marked
+// all-dirty only if each contributor vouches for it (marked it or had no
+// members there) and the union has members there.
 func (m *MixTLB) mergeMembers(a, b *entry) bool {
-	before := *a
-	if m.cfg.Encoding == Bitmap {
+	enc := m.cfg.Encoding
+	vouched := a.vouchedGroups(enc) & b.vouchedGroups(enc)
+	if enc == Bitmap {
 		a.bitmap |= b.bitmap
-		a.dgroups = mergedDirtyGroups(m.cfg.Encoding, &before, b, a)
+		a.dgroups = vouched & a.groupMask(enc)
 		return true
 	}
 	aStart, aEnd := int(a.start), int(a.start)+int(a.length)
@@ -544,23 +588,8 @@ func (m *MixTLB) mergeMembers(a, b *entry) bool {
 			aEnd = bEnd
 		}
 		a.start, a.length = uint16(aStart), uint16(aEnd-aStart)
-		a.dgroups = mergedDirtyGroups(m.cfg.Encoding, &before, b, a)
+		a.dgroups = vouched & a.groupMask(enc)
 		return true
 	}
 	return false
-}
-
-// mergedDirtyGroups computes the post-merge dirty-group bitmap: a group
-// remains known-all-dirty only when every contributor with members there
-// had it marked, and the merged entry actually has members there.
-func mergedDirtyGroups(enc Encoding, a, b, merged *entry) uint32 {
-	var out uint32
-	for g := 0; g < groupCount(int(merged.k)); g++ {
-		okA := a.dgroups&(1<<g) != 0 || !a.groupHasMembers(enc, g) || a.dirty
-		okB := b.dgroups&(1<<g) != 0 || !b.groupHasMembers(enc, g) || b.dirty
-		if okA && okB && merged.groupHasMembers(enc, g) {
-			out |= 1 << g
-		}
-	}
-	return out
 }

@@ -189,6 +189,7 @@ type hierLevel struct {
 	fill   tlb.Cost
 
 	promoter  tlb.Promoter
+	native    tlb.BundlePromoter
 	bundler   tlb.BundleProvider
 	refresher tlb.DirtyRefresher
 	scrubber  tlb.Scrubber
@@ -283,6 +284,7 @@ func New(cfg Config, src TranslationSource, caches *cachesim.Hierarchy, fault Fa
 		lv.tlb = l.TLB
 		lv.lat = lat
 		lv.promoter, _ = l.TLB.(tlb.Promoter)
+		lv.native, _ = l.TLB.(tlb.BundlePromoter)
 		lv.bundler, _ = l.TLB.(tlb.BundleProvider)
 		lv.refresher, _ = l.TLB.(tlb.DirtyRefresher)
 		lv.scrubber, _ = l.TLB.(tlb.Scrubber)
@@ -627,27 +629,7 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 		res.PA = r.T.Translate(req.VA)
 		res.Size = r.T.Size
 		if li > 0 {
-			// Promote into every level above the hit: hardware refills
-			// the upper levels from the hit entry, carrying the entry's
-			// whole coalesced membership. Mirroring designs fill only the
-			// probed set here.
-			m.promoLine[0] = r.T
-			line := m.promoLine[:]
-			if lv.bundler != nil {
-				if members := lv.bundler.Members(req.VA); len(members) > 0 {
-					line = members
-				}
-			}
-			for j := li - 1; j >= 0; j-- {
-				up := &m.levels[j]
-				if up.promoter != nil {
-					up.fill.Add(up.promoter.Promote(req, r.T, line))
-				} else {
-					up.fill.Add(up.tlb.Fill(req, pagetable.WalkResult{
-						Found: true, Translation: r.T, Line: line,
-					}))
-				}
-			}
+			m.promote(req, li, r.T)
 			if lv.demoter != nil {
 				// Move semantics for the victim level: the served page is
 				// now resident above, so drop it here — a future eviction
@@ -694,6 +676,45 @@ func (m *MMU) translateOnce(req tlb.Request) Result {
 	}
 	m.handleDirty(req, walk.Translation.Dirty, &res, walk)
 	return res
+}
+
+// promote refills every level above hit level li with t: hardware
+// carries the hit entry's whole coalesced membership up. Mirroring
+// designs fill only the probed set here. A level that reads the hit
+// level's bundle directly (tlb.BundlePromoter) does so; the hit level's
+// Members are expanded at most once, and only when some level above
+// cannot. Deferring the expansion is safe: a promotion changes the hit
+// level only by demoting an eviction into it, which makes it a victim
+// level, and no BundlePromoter reads a victim level — so the first level
+// above expands its Members before any promotion runs.
+func (m *MMU) promote(req tlb.Request, li int, t pagetable.Translation) {
+	src := &m.levels[li]
+	var line []pagetable.Translation
+	for j := li - 1; j >= 0; j-- {
+		up := &m.levels[j]
+		if up.native != nil {
+			if c, ok := up.native.PromoteFrom(req, t, src.tlb); ok {
+				up.fill.Add(c)
+				continue
+			}
+		}
+		if line == nil {
+			m.promoLine[0] = t
+			line = m.promoLine[:]
+			if src.bundler != nil {
+				if members := src.bundler.Members(req.VA); len(members) > 0 {
+					line = members
+				}
+			}
+		}
+		if up.promoter != nil {
+			up.fill.Add(up.promoter.Promote(req, t, line))
+		} else {
+			up.fill.Add(up.tlb.Fill(req, pagetable.WalkResult{
+				Found: true, Translation: t, Line: line,
+			}))
+		}
+	}
 }
 
 // chargeCacheProbes prices a cache-resident level's probe: one data-cache

@@ -119,6 +119,16 @@ type Promoter interface {
 	Promote(req Request, t pagetable.Translation, line []pagetable.Translation) Cost
 }
 
+// BundlePromoter is implemented by TLBs that can make the promotion
+// Promote would make from the hit level's Members by reading src, the hit
+// level's TLB, directly — without expanding its entry into member
+// translations. ok is false when the TLB cannot reproduce Promote exactly
+// from src (an unknown source design, say); nothing has changed then, and
+// the MMU falls back to Members and Promote.
+type BundlePromoter interface {
+	PromoteFrom(req Request, t pagetable.Translation, src TLB) (c Cost, ok bool)
+}
+
 // ReplayConsistent is implemented by TLBs whose Lookup is idempotent for
 // an immediately-repeated request: probing the same VA again with no
 // intervening fill, invalidation, or dirty transition returns the same

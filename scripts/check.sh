@@ -234,6 +234,15 @@ run_each ./internal/mmu/ 'TestLedgerConservation|TestChargeRetryRedirect|TestSta
 run_each ./internal/smp/ 'TestLedgerConservationUnderShootdowns'
 go test ./internal/perfmodel/ -count=1 > /dev/null
 
+# Bundle-native promotion: every MIX design must simulate identically
+# with PromoteFrom hidden behind a pass-through level (the path traced
+# benchmark runs take), PromoteFrom must match Members+Promote entry for
+# entry, the mask helpers must match the per-group loops they replaced,
+# and the promotion path must stay zero-alloc.
+echo "== bundle-native promotion"
+run_each ./internal/mmu/ 'TestPromoteNativeMatchesFallback|TestTranslateZeroAllocPromote'
+run_each ./internal/core/ 'TestPromoteFromMatchesPromote|TestMergedDirtyGroupsProperty|TestSlotSetWordOps'
+
 # The breakdown experiment (the cycle books' table readout)
 # must be jobs-invariant like every experiment, and match its checked-in
 # golden byte for byte.
